@@ -9,8 +9,12 @@
 // lints, which police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use contopt_sim::emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_sim::isa::{r, Asm, Program};
-use contopt_sim::{simulate, MachineConfig, OptimizerConfig};
+use contopt_sim::{simulate, Machine, MachineConfig, OptimizerConfig};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn counted_loop(n: i64, body: impl Fn(&mut Asm)) -> Program {
     let mut a = Asm::new();
@@ -124,6 +128,105 @@ fn optimizer_reduces_ooo_dispatch() {
         opt.pipeline.dispatched_to_ooo + opt.pipeline.bypassed_ooo,
         opt.pipeline.retired
     );
+}
+
+// ---- architectural-state golden ------------------------------------------
+
+/// Instructions each kernel retires for the architectural-state golden:
+/// enough to run every kernel through its steady-state loops, small
+/// enough for a debug-build test.
+const ARCH_STATE_INSTS: u64 = 40_000;
+
+fn arch_state_golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens/arch_state/snapshots.json")
+}
+
+/// The emulator-only reference: the same prefix of the committed stream,
+/// folded as it steps.
+fn emulator_snapshot(program: Arc<Program>, max_insts: u64) -> ArchSnapshot {
+    let mut emu = Emulator::new(program);
+    let (mut retired, mut digest) = (0u64, STREAM_DIGEST_INIT);
+    while retired < max_insts {
+        match emu.step().expect("kernel executes cleanly") {
+            Step::Inst(d) => {
+                digest = d.fold_digest(digest);
+                retired += 1;
+            }
+            Step::Halted => break,
+        }
+    }
+    ArchSnapshot::capture(&emu, retired, digest)
+}
+
+/// Renders the end-of-run snapshot of every kernel under the baseline
+/// machine and the all-passes machine, one JSON object per cell. Every
+/// pipeline snapshot must also equal the emulator-only reference.
+fn render_arch_state() -> String {
+    let hex = |v: &[u64]| {
+        v.iter()
+            .map(|x| format!("\"{x:#x}\""))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let mut out = format!("{{\n  \"insts\": {ARCH_STATE_INSTS},\n  \"cells\": [\n");
+    let mut first = true;
+    for w in contopt_sim::workloads::suite() {
+        let reference = emulator_snapshot(w.program.clone(), ARCH_STATE_INSTS);
+        for (label, cfg) in [
+            ("baseline", MachineConfig::default_paper()),
+            ("full", MachineConfig::default_with_optimizer()),
+        ] {
+            let (_, snap) = Machine::new(cfg, w.program.clone()).run_with_state(ARCH_STATE_INSTS);
+            if let Some(diff) = reference.diff(&snap, ("emulator", label)) {
+                panic!("{}: {diff}", w.name);
+            }
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            write!(
+                out,
+                "    {{\"workload\": \"{}\", \"config\": \"{label}\", \"retired\": {}, \
+                 \"stream_digest\": \"{:#x}\", \"mem_digest\": \"{:#x}\",\n      \
+                 \"regs\": [{}],\n      \"fregs\": [{}]}}",
+                w.name,
+                snap.retired,
+                snap.stream_digest,
+                snap.mem_digest,
+                hex(&snap.regs),
+                hex(&snap.fregs),
+            )
+            .unwrap();
+        }
+    }
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// Every kernel retires the same stream into the same architectural state
+/// as when the golden was recorded, under the baseline and the all-passes
+/// machine. Re-record deliberately with
+/// `cargo test --test integration_pipeline -- --ignored record_arch_state_golden`.
+#[test]
+fn arch_state_matches_golden() {
+    let want = std::fs::read_to_string(arch_state_golden_path()).expect("golden recorded");
+    let got = render_arch_state();
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .map_or_else(|| "length".to_string(), |i| format!("line {}", i + 1));
+        panic!("architectural state diverges from goldens/arch_state/snapshots.json at {line}");
+    }
+}
+
+#[test]
+#[ignore = "rewrites the checked-in golden"]
+fn record_arch_state_golden() {
+    let path = arch_state_golden_path();
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, render_arch_state()).unwrap();
 }
 
 // ---- property-based mini-fuzzer -------------------------------------------
