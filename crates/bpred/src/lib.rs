@@ -205,8 +205,12 @@ impl Predictor {
         correct
     }
 
-    /// Pushes a return address (call instruction fetched).
+    /// Pushes a return address (call instruction fetched). A zero-entry
+    /// stack keeps nothing, so every return mispredicts.
     pub fn push_return(&mut self, return_pc: u64) {
+        if self.cfg.ras_entries == 0 {
+            return;
+        }
         if self.ras.len() == self.cfg.ras_entries {
             self.ras.remove(0);
         }
@@ -301,6 +305,20 @@ mod tests {
         assert!(p.predict_return(0x3));
         assert!(p.predict_return(0x2));
         assert!(!p.predict_return(0x1));
+    }
+
+    #[test]
+    fn zero_entry_ras_predicts_nothing() {
+        let mut p = Predictor::new(PredictorConfig {
+            ras_entries: 0,
+            ..PredictorConfig::default()
+        });
+        p.push_return(0x1004);
+        p.push_return(0x2004);
+        assert!(!p.predict_return(0x2004));
+        assert!(!p.predict_return(0x1004));
+        assert_eq!(p.stats().indirect_predictions, 2);
+        assert_eq!(p.stats().indirect_mispredictions, 2);
     }
 
     #[test]
