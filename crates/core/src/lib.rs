@@ -96,6 +96,8 @@ mod preg;
 mod rat;
 mod stats;
 mod symval;
+#[cfg(test)]
+mod testutil;
 
 pub use config::{ConfigFieldError, ConfigScalar, OptimizerConfig};
 pub use feedback::{Feedback, FeedbackQueue};

@@ -11,8 +11,12 @@
 //! which implements the paper's requirement that forwarding only happens
 //! while "the physical destination of the first load still contains its
 //! value".
+//!
+//! As in the RAT ([`crate::SymRat`]), the cache keeps the exact number of
+//! entries based on each physical register, so a value-feedback sweep for
+//! a register no entry references is skipped.
 
-use crate::preg::PregFile;
+use crate::preg::{PhysReg, PregFile};
 use crate::symval::SymValue;
 use contopt_isa::MemSize;
 
@@ -56,7 +60,7 @@ impl MbcStats {
 ///
 /// let mut pregs = PregFile::new(8);
 /// let p = pregs.alloc().unwrap();
-/// let mut mbc = Mbc::new(4);
+/// let mut mbc = Mbc::new(4, pregs.capacity());
 /// mbc.insert(0x1000, MemSize::Quad, SymValue::reg(p), &mut pregs);
 /// assert_eq!(mbc.lookup(0x1000, MemSize::Quad), Some(SymValue::reg(p)));
 /// assert_eq!(mbc.lookup(0x1000, MemSize::Long), None, "size must match");
@@ -64,20 +68,33 @@ impl MbcStats {
 #[derive(Debug, Clone)]
 pub struct Mbc {
     entries: Vec<Option<MbcEntry>>,
+    /// Per physical register: how many entries have it as base.
+    base_uses: Vec<u32>,
     stats: MbcStats,
 }
 
 impl Mbc {
-    /// Creates an empty MBC with `entries` slots (must be a power of two).
+    /// Creates an empty MBC with `entries` slots (must be a power of two)
+    /// whose data may be based on any of `preg_count` physical registers.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two.
-    pub fn new(entries: usize) -> Mbc {
+    pub fn new(entries: usize, preg_count: usize) -> Mbc {
         assert!(entries.is_power_of_two(), "MBC size must be a power of two");
         Mbc {
             entries: vec![None; entries],
+            base_uses: vec![0; preg_count],
             stats: MbcStats::default(),
+        }
+    }
+
+    /// Drops `data`'s base claim and its base use.
+    #[inline]
+    fn drop_data(&mut self, data: SymValue, pregs: &mut PregFile) {
+        if let Some(b) = data.base() {
+            pregs.release(b);
+            self.base_uses[b.index()] -= 1;
         }
     }
 
@@ -131,12 +148,11 @@ impl Mbc {
         let (aligned, offset) = Self::split(addr);
         if let Some(b) = data.base() {
             pregs.add_ref(b);
+            self.base_uses[b.index()] += 1;
         }
         let slot = self.index(aligned);
         if let Some(old) = self.entries[slot].take() {
-            if let Some(b) = old.data.base() {
-                pregs.release(b);
-            }
+            self.drop_data(old.data, pregs);
         }
         self.entries[slot] = Some(MbcEntry {
             aligned,
@@ -152,11 +168,9 @@ impl Mbc {
     pub fn invalidate(&mut self, addr: u64, pregs: &mut PregFile) {
         let (aligned, _) = Self::split(addr);
         let slot = self.index(aligned);
-        if let Some(e) = &self.entries[slot] {
+        if let Some(e) = self.entries[slot] {
             if e.aligned == aligned {
-                if let Some(b) = e.data.base() {
-                    pregs.release(b);
-                }
+                self.drop_data(e.data, pregs);
                 self.entries[slot] = None;
             }
         }
@@ -166,18 +180,39 @@ impl Mbc {
     /// policy), releasing all base references.
     pub fn flush(&mut self, pregs: &mut PregFile) {
         self.stats.flushes += 1;
-        for slot in &mut self.entries {
-            if let Some(e) = slot.take() {
-                if let Some(b) = e.data.base() {
-                    pregs.release(b);
-                }
+        for slot in 0..self.entries.len() {
+            if let Some(e) = self.entries[slot].take() {
+                self.drop_data(e.data, pregs);
             }
         }
     }
 
     /// CAM-style value feedback: every entry whose base is `p` becomes a
     /// known constant. Returns the number of entries converted.
-    pub fn feed_back(&mut self, p: crate::preg::PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
+    ///
+    /// Skips the sweep when no entry is based on `p`, and stops it once
+    /// the last such entry is converted; entries are converted in slot
+    /// order either way.
+    pub fn feed_back(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
+        let uses = std::mem::take(&mut self.base_uses[p.index()]);
+        let mut left = uses;
+        for slot in self.entries.iter_mut().flatten() {
+            if left == 0 {
+                break;
+            }
+            if let Some(k) = slot.data.feed_back(p, v) {
+                slot.data = k;
+                pregs.release(p);
+                left -= 1;
+            }
+        }
+        debug_assert_eq!(left, 0, "base-use count out of step with the cache");
+        uses as u64
+    }
+
+    /// The unfiltered CAM sweep `feed_back` must agree with.
+    #[cfg(test)]
+    fn feed_back_unfiltered(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
         let mut converted = 0;
         for slot in self.entries.iter_mut().flatten() {
             if let Some(k) = slot.data.feed_back(p, v) {
@@ -188,17 +223,26 @@ impl Mbc {
         }
         converted
     }
+
+    /// The per-register base uses, recounted from the entries.
+    #[cfg(test)]
+    fn recount_base_uses(&self) -> Vec<u32> {
+        let mut uses = vec![0; self.base_uses.len()];
+        for b in self.entries.iter().flatten().filter_map(|e| e.data.base()) {
+            uses[b.index()] += 1;
+        }
+        uses
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preg::PhysReg;
 
     fn setup() -> (Mbc, PregFile, PhysReg) {
         let mut pregs = PregFile::new(16);
         let p = pregs.alloc().unwrap();
-        (Mbc::new(8), pregs, p)
+        (Mbc::new(8, pregs.capacity()), pregs, p)
     }
 
     #[test]
@@ -263,6 +307,67 @@ mod tests {
         mbc.insert(0x8, MemSize::Byte, SymValue::Known(0xab), &mut pregs);
         assert_eq!(mbc.lookup(0x8, MemSize::Byte), Some(SymValue::Known(0xab)));
         mbc.flush(&mut pregs); // must not underflow any count
+    }
+
+    #[test]
+    fn base_use_counts_track_random_operations() {
+        use crate::testutil::{random_sym, ref_state, Rng};
+        const SIZES: [MemSize; 4] = [MemSize::Byte, MemSize::Word, MemSize::Long, MemSize::Quad];
+        for seed in 1..=8u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut pregs = PregFile::new(64);
+            let mut mbc = Mbc::new(16, pregs.capacity());
+            // Registers the test holds a producer claim on; entries may
+            // only be based on live registers.
+            let mut held: Vec<PhysReg> = Vec::new();
+            for step in 0..3000 {
+                // 32 aligned words over 16 slots: inserts both hit and evict.
+                let addr = (rng.below(32) as u64) * 8 + rng.below(8) as u64;
+                match rng.below(7) {
+                    0 | 1 => {
+                        if let Some(p) = pregs.alloc() {
+                            held.push(p);
+                        }
+                    }
+                    2 if !held.is_empty() => {
+                        let p = held.swap_remove(rng.below(held.len()));
+                        pregs.release(p);
+                    }
+                    3 => {
+                        let size = SIZES[rng.below(SIZES.len())];
+                        let data = random_sym(&mut rng, &held);
+                        mbc.insert(addr, size, data, &mut pregs);
+                    }
+                    4 => mbc.invalidate(addr, &mut pregs),
+                    5 if rng.below(20) == 0 => mbc.flush(&mut pregs),
+                    _ => {
+                        // Feed back a held register, or any register at all
+                        // (most have no entry based on them).
+                        let p = if !held.is_empty() && rng.below(2) == 0 {
+                            held[rng.below(held.len())]
+                        } else {
+                            PhysReg::from_index(rng.below(pregs.capacity()))
+                        };
+                        let v = rng.next();
+                        let (mut ref_mbc, mut ref_pregs) = (mbc.clone(), pregs.clone());
+                        let want = ref_mbc.feed_back_unfiltered(p, v, &mut ref_pregs);
+                        let got = mbc.feed_back(p, v, &mut pregs);
+                        assert_eq!(got, want, "seed {seed} step {step}: converted");
+                        assert_eq!(ref_state(&pregs), ref_state(&ref_pregs));
+                        for a in 0..32 * 8 {
+                            for size in SIZES {
+                                assert_eq!(mbc.probe(a, size), ref_mbc.probe(a, size));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    mbc.base_uses,
+                    mbc.recount_base_uses(),
+                    "seed {seed} step {step}: base-use counts"
+                );
+            }
+        }
     }
 
     #[test]

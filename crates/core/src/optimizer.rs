@@ -1,6 +1,6 @@
 //! The rename/optimize engine driving the pluggable pass pipeline.
 //!
-//! [`Optimizer::rename_bundle`] processes one rename packet exactly as §3
+//! [`Optimizer::rename_records`] processes one rename packet exactly as §3
 //! of the paper describes; the per-optimization logic lives in the pass
 //! modules ([`crate::passes::cp_ra`], [`crate::passes::rle_sf`],
 //! [`crate::passes::early_exec`], [`crate::passes::feedback`]) and is
@@ -197,7 +197,7 @@ impl Optimizer {
             oracle[rat.map(a).index()] = if a.is_zero() { 0 } else { initial(a) };
         }
         Optimizer {
-            mbc: Mbc::new(cfg.mbc_entries),
+            mbc: Mbc::new(cfg.mbc_entries, preg_count),
             cfg,
             pregs,
             rat,
@@ -274,6 +274,20 @@ impl Optimizer {
     /// and reuses across cycles) and recycles the internal per-bundle
     /// scratch, so steady-state rename performs no heap allocation.
     pub fn rename_bundle_into(&mut self, now: u64, reqs: &[RenameReq], out: &mut Vec<Renamed>) {
+        self.rename_records(now, reqs.iter().map(|r| (&r.d, r.mispredicted)), out);
+    }
+
+    /// The rename core behind [`rename_bundle_into`](Self::rename_bundle_into),
+    /// taking each oracle record by reference together with its
+    /// front-end misprediction flag. A pipeline that keeps its in-flight
+    /// records in place renames them from there without copying them
+    /// into [`RenameReq`]s.
+    pub fn rename_records<'a>(
+        &mut self,
+        now: u64,
+        reqs: impl ExactSizeIterator<Item = (&'a DynInst, bool)>,
+        out: &mut Vec<Renamed>,
+    ) {
         self.apply_feedback(now);
         // Discrete (offline-style) optimization: invalidate the tables at
         // every trace boundary (§3.4).
@@ -289,11 +303,11 @@ impl Optimizer {
         }
         let mut bundle = std::mem::take(&mut self.bundle_scratch);
         bundle.reset();
-        for req in reqs {
+        for (d, mispredicted) in reqs {
             if !self.can_rename() {
                 break;
             }
-            let r = self.process(req, &mut bundle);
+            let r = self.process(d, mispredicted, &mut bundle);
             out.push(r);
         }
         self.bundle_scratch = bundle;
@@ -393,22 +407,21 @@ impl Optimizer {
         }
     }
 
-    fn process(&mut self, req: &RenameReq, bundle: &mut Bundle) -> Renamed {
-        let d = &req.d;
+    fn process(&mut self, d: &DynInst, mispredicted: bool, bundle: &mut Bundle) -> Renamed {
         self.stats.engine.insts += 1;
         match d.inst {
-            Inst::Alu { op, ra, rb, rc } => self.process_alu(req, op, ra, rb, rc, bundle),
-            Inst::Lda { rc, rb, disp } => self.process_lda(req, rc, rb, disp, bundle),
-            Inst::Ld { .. } | Inst::FLd { .. } => self.process_load(req, bundle),
-            Inst::St { .. } | Inst::FSt { .. } => self.process_store(req, bundle),
-            Inst::Br { cond, ra, .. } => self.process_branch(req, cond, ra, bundle),
+            Inst::Alu { op, ra, rb, rc } => self.process_alu(d, op, ra, rb, rc, bundle),
+            Inst::Lda { rc, rb, disp } => self.process_lda(d, rc, rb, disp, bundle),
+            Inst::Ld { .. } | Inst::FLd { .. } => self.process_load(d, bundle),
+            Inst::St { .. } | Inst::FSt { .. } => self.process_store(d, bundle),
+            Inst::Br { cond, ra, .. } => self.process_branch(d, mispredicted, cond, ra, bundle),
             Inst::Bru { .. } => {
                 bundle.record(None, 0, 0);
                 self.renamed(d, RenamedClass::Done, SrcList::new(), None, false)
             }
-            Inst::Bsr { .. } | Inst::Jmp { .. } => self.process_call(req, bundle),
+            Inst::Bsr { .. } | Inst::Jmp { .. } => self.process_call(d, mispredicted, bundle),
             Inst::FAlu { .. } | Inst::FCmp { .. } | Inst::Itof { .. } | Inst::Ftoi { .. } => {
-                self.process_fp(req, bundle)
+                self.process_plain(d, RenamedClass::Fp, bundle)
             }
             Inst::Halt | Inst::Nop => {
                 bundle.record(None, 0, 0);
@@ -482,10 +495,6 @@ impl Optimizer {
         };
         bundle.record(d.inst.dst(), adds, 0);
         self.renamed(d, class, srcs, dst, dst_new)
-    }
-
-    pub(crate) fn process_fp(&mut self, req: &RenameReq, bundle: &mut Bundle) -> Renamed {
-        self.process_plain(&req.d, RenamedClass::Fp, bundle)
     }
 }
 

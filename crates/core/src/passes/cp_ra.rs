@@ -14,22 +14,22 @@
 //! [`crate::config::OptimizerConfig::add_chain_depth`] (§6.2, Figure 10);
 //! power-of-two multiplies strength-reduce to shifts.
 
-use crate::optimizer::{Bundle, Optimizer, RenameReq, Renamed, RenamedClass, SrcView};
+use crate::optimizer::{Bundle, Optimizer, Renamed, RenamedClass, SrcView};
 use crate::preg::SrcList;
 use crate::symval::{sym_add, sym_add_imm, sym_scaled_add, sym_shl, sym_sub, Folded, SymValue};
+use contopt_emu::DynInst;
 use contopt_isa::{AluOp, ArchReg, Operand};
 
 impl Optimizer {
     pub(crate) fn process_alu(
         &mut self,
-        req: &RenameReq,
+        d: &DynInst,
         op: AluOp,
         ra: contopt_isa::Reg,
         rb: Operand,
         _rc: contopt_isa::Reg,
         bundle: &mut Bundle,
     ) -> Renamed {
-        let d = &req.d;
         if !self.cfg.enabled {
             let class = if op.is_simple() {
                 RenamedClass::SimpleInt
@@ -225,13 +225,12 @@ impl Optimizer {
 
     pub(crate) fn process_lda(
         &mut self,
-        req: &RenameReq,
+        d: &DynInst,
         _rc: contopt_isa::Reg,
         rb: contopt_isa::Reg,
         disp: i64,
         bundle: &mut Bundle,
     ) -> Renamed {
-        let d = &req.d;
         if !self.cfg.enabled {
             return self.process_plain(d, RenamedClass::SimpleInt, bundle);
         }

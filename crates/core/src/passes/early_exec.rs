@@ -12,21 +12,22 @@
 //! ⇒ the register is zero) also lives here because it piggybacks on
 //! branch processing.
 
-use crate::optimizer::{Bundle, Optimizer, RenameReq, Renamed, RenamedClass};
+use crate::optimizer::{Bundle, Optimizer, Renamed, RenamedClass};
 use crate::preg::SrcList;
 use crate::symval::SymValue;
+use contopt_emu::DynInst;
 use contopt_isa::{ArchReg, Inst};
 
 impl Optimizer {
     pub(crate) fn process_branch(
         &mut self,
-        req: &RenameReq,
+        d: &DynInst,
+        mispredicted: bool,
         cond: contopt_isa::Cond,
         ra: contopt_isa::Reg,
         bundle: &mut Bundle,
     ) -> Renamed {
-        let d = &req.d;
-        if req.mispredicted {
+        if mispredicted {
             self.stats.engine.mispredicted_branches += 1;
         }
         if !self.cfg.enabled {
@@ -50,7 +51,7 @@ impl Optimizer {
             );
             self.stats.early_exec.branches_resolved_early += 1;
             self.stats.early_exec.executed_early += 1;
-            if req.mispredicted {
+            if mispredicted {
                 self.stats.early_exec.mispredicts_recovered_early += 1;
             }
             bundle.record(None, va.adds, 0);
@@ -71,8 +72,12 @@ impl Optimizer {
         self.renamed(d, RenamedClass::SimpleInt, srcs, None, false)
     }
 
-    pub(crate) fn process_call(&mut self, req: &RenameReq, bundle: &mut Bundle) -> Renamed {
-        let d = &req.d;
+    pub(crate) fn process_call(
+        &mut self,
+        d: &DynInst,
+        mispredicted: bool,
+        bundle: &mut Bundle,
+    ) -> Renamed {
         let link = d.pc.wrapping_add(4);
         let dst_arch = d.inst.dst();
         match d.inst {
@@ -103,7 +108,7 @@ impl Optimizer {
                 }
             }
             Inst::Jmp { ra, .. } => {
-                if req.mispredicted {
+                if mispredicted {
                     self.stats.engine.mispredicted_branches += 1;
                 }
                 if !self.cfg.enabled {
@@ -138,7 +143,7 @@ impl Optimizer {
                 bundle.record(dst_arch, 0, 0);
                 if target_known {
                     self.stats.early_exec.executed_early += 1;
-                    if req.mispredicted {
+                    if mispredicted {
                         self.stats.early_exec.mispredicts_recovered_early += 1;
                     }
                     let mut r = self.renamed(d, RenamedClass::Done, SrcList::new(), dst, dst_new);

@@ -14,9 +14,10 @@
 //! [`crate::config::OptimizerConfig::mem_chain_depth`] (Figure 10's
 //! "& 1 mem" variant).
 
-use crate::optimizer::{Bundle, Optimizer, RenameReq, Renamed, RenamedClass};
+use crate::optimizer::{Bundle, Optimizer, Renamed, RenamedClass};
 use crate::preg::SrcList;
 use crate::symval::SymValue;
+use contopt_emu::DynInst;
 use contopt_isa::{ArchReg, Inst, MemSize};
 
 impl Optimizer {
@@ -24,8 +25,7 @@ impl Optimizer {
         clippy::expect_used,
         reason = "the decoder only routes memory ops here"
     )]
-    pub(crate) fn process_load(&mut self, req: &RenameReq, bundle: &mut Bundle) -> Renamed {
-        let d = &req.d;
+    pub(crate) fn process_load(&mut self, d: &DynInst, bundle: &mut Bundle) -> Renamed {
         self.stats.engine.mem_ops += 1;
         self.stats.engine.loads += 1;
         let (rb, disp) = d.inst.mem_addr_spec().expect("load has address spec");
@@ -61,8 +61,7 @@ impl Optimizer {
                     // it RLE/SF only generates addresses and maintains the
                     // MBC.
                     if let Some(data) = self.mbc.lookup(a, size) {
-                        if let Some(r) =
-                            self.try_forward(req, a, size, data, is_fp, inh_mbcs, bundle)
+                        if let Some(r) = self.try_forward(d, a, size, data, is_fp, inh_mbcs, bundle)
                         {
                             return r;
                         }
@@ -111,7 +110,7 @@ impl Optimizer {
     )]
     pub(crate) fn try_forward(
         &mut self,
-        req: &RenameReq,
+        d: &DynInst,
         addr: u64,
         size: MemSize,
         data: SymValue,
@@ -119,7 +118,6 @@ impl Optimizer {
         inh_mbcs: u32,
         bundle: &mut Bundle,
     ) -> Option<Renamed> {
-        let d = &req.d;
         let dst_a = d.inst.dst().expect("forwarding checked dst");
         // The stored register value, evaluated with the oracle.
         let stored = data.eval_with(|p| self.oracle[p.index()]);
@@ -190,8 +188,7 @@ impl Optimizer {
         clippy::expect_used,
         reason = "the decoder only routes memory ops here"
     )]
-    pub(crate) fn process_store(&mut self, req: &RenameReq, bundle: &mut Bundle) -> Renamed {
-        let d = &req.d;
+    pub(crate) fn process_store(&mut self, d: &DynInst, bundle: &mut Bundle) -> Renamed {
         self.stats.engine.mem_ops += 1;
         let (rb, disp) = d.inst.mem_addr_spec().expect("store has address spec");
         let size = d.inst.mem_size().expect("store has size");

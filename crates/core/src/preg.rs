@@ -71,8 +71,11 @@ impl Default for PhysReg {
 
 impl SrcList {
     /// An empty list.
-    pub fn new() -> SrcList {
-        SrcList::default()
+    pub const fn new() -> SrcList {
+        SrcList {
+            regs: [PhysReg::ZERO; MAX_SRCS],
+            len: 0,
+        }
     }
 
     /// A one-element list.

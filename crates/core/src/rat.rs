@@ -4,6 +4,11 @@
 //! optimization augments each entry with a [`SymValue`] describing the
 //! register's contents symbolically (§3.1). Entries hold reference-counted
 //! claims on both the mapping register and the symbolic base register.
+//!
+//! Value feedback is modelled as a CAM sweep over every entry. Most sweeps
+//! find nothing to convert, so the table also keeps, per physical
+//! register, the exact number of entries whose symbolic base is that
+//! register; a sweep for a register no entry references is skipped.
 
 use crate::preg::{PhysReg, PregFile};
 use crate::symval::SymValue;
@@ -22,6 +27,8 @@ struct RatEntry {
 #[derive(Debug, Clone)]
 pub struct SymRat {
     entries: Vec<RatEntry>,
+    /// Per physical register: how many entries have it as symbolic base.
+    base_uses: Vec<u32>,
 }
 
 impl SymRat {
@@ -45,6 +52,7 @@ impl SymRat {
         track_known: bool,
     ) -> SymRat {
         let mut entries = Vec::with_capacity(NUM_ARCH_REGS);
+        let mut base_uses = vec![0; pregs.capacity()];
         for i in 0..NUM_ARCH_REGS {
             let a = ArchReg::from_index(i);
             let entry = if a.is_zero() {
@@ -73,10 +81,22 @@ impl SymRat {
             // carries its own claim, matching what `write` releases later.
             if let Some(b) = entry.sym.base() {
                 pregs.add_ref(b);
+                base_uses[b.index()] += 1;
             }
             entries.push(entry);
         }
-        SymRat { entries }
+        SymRat { entries, base_uses }
+    }
+
+    /// Moves one base use from `old`'s base to `new`'s.
+    #[inline]
+    fn rebase(base_uses: &mut [u32], old: SymValue, new: SymValue) {
+        if let Some(b) = old.base() {
+            base_uses[b.index()] -= 1;
+        }
+        if let Some(b) = new.base() {
+            base_uses[b.index()] += 1;
+        }
     }
 
     /// The current mapping of `a`.
@@ -108,6 +128,7 @@ impl SymRat {
         if let Some(b) = e.sym.base() {
             pregs.release(b);
         }
+        Self::rebase(&mut self.base_uses, e.sym, sym);
         *e = RatEntry { map, sym };
     }
 
@@ -124,6 +145,7 @@ impl SymRat {
         if let Some(b) = e.sym.base() {
             pregs.release(b);
         }
+        Self::rebase(&mut self.base_uses, e.sym, sym);
         e.sym = sym;
     }
 
@@ -143,13 +165,37 @@ impl SymRat {
             if let Some(b) = e.sym.base() {
                 pregs.release(b);
             }
+            Self::rebase(&mut self.base_uses, e.sym, plain);
             e.sym = plain;
         }
     }
 
     /// CAM-style value feedback: converts every entry whose symbolic base is
     /// `p` into a known constant. Returns the number converted.
+    ///
+    /// Skips the sweep when no entry has `p` as base, and stops it once
+    /// the last such entry is converted; entries are converted in table
+    /// order either way.
     pub fn feed_back(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
+        let uses = std::mem::take(&mut self.base_uses[p.index()]);
+        let mut left = uses;
+        for e in &mut self.entries {
+            if left == 0 {
+                break;
+            }
+            if let Some(k) = e.sym.feed_back(p, v) {
+                e.sym = k;
+                pregs.release(p);
+                left -= 1;
+            }
+        }
+        debug_assert_eq!(left, 0, "base-use count out of step with the table");
+        uses as u64
+    }
+
+    /// The unfiltered CAM sweep `feed_back` must agree with.
+    #[cfg(test)]
+    fn feed_back_unfiltered(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
         let mut converted = 0;
         for e in &mut self.entries {
             if let Some(k) = e.sym.feed_back(p, v) {
@@ -159,6 +205,16 @@ impl SymRat {
             }
         }
         converted
+    }
+
+    /// The per-register base uses, recounted from the entries.
+    #[cfg(test)]
+    fn recount_base_uses(&self) -> Vec<u32> {
+        let mut uses = vec![0; self.base_uses.len()];
+        for b in self.entries.iter().filter_map(|e| e.sym.base()) {
+            uses[b.index()] += 1;
+        }
+        uses
     }
 }
 
@@ -296,6 +352,67 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(rat.sym(a), SymValue::Known(10));
         assert_eq!(rat.sym(b), SymValue::Known(24));
+    }
+
+    #[test]
+    fn base_use_counts_track_random_operations() {
+        use crate::testutil::{random_sym, ref_state, Rng};
+        for seed in 1..=8u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut pregs = PregFile::new(160);
+            let mut rat = SymRat::new(&mut pregs, |_| 3, seed % 2 == 0);
+            // Registers the test holds a producer claim on; symbols may
+            // only be based on live registers.
+            let mut held: Vec<PhysReg> = Vec::new();
+            for step in 0..3000 {
+                let a = ArchReg::from_index(rng.below(NUM_ARCH_REGS));
+                match rng.below(7) {
+                    0 | 1 => {
+                        if let Some(p) = pregs.alloc() {
+                            held.push(p);
+                        }
+                    }
+                    2 if !held.is_empty() => {
+                        let p = held.swap_remove(rng.below(held.len()));
+                        pregs.release(p);
+                    }
+                    3 if !held.is_empty() => {
+                        let map = held[rng.below(held.len())];
+                        let sym = random_sym(&mut rng, &held);
+                        rat.write(a, map, sym, &mut pregs);
+                    }
+                    4 => {
+                        let sym = random_sym(&mut rng, &held);
+                        rat.update_sym(a, sym, &mut pregs);
+                    }
+                    5 if rng.below(20) == 0 => rat.invalidate_syms(&mut pregs),
+                    _ => {
+                        // Feed back a held register, or any register at all
+                        // (most have no entry based on them).
+                        let p = if !held.is_empty() && rng.below(2) == 0 {
+                            held[rng.below(held.len())]
+                        } else {
+                            PhysReg::from_index(rng.below(pregs.capacity()))
+                        };
+                        let v = rng.next();
+                        let (mut ref_rat, mut ref_pregs) = (rat.clone(), pregs.clone());
+                        let want = ref_rat.feed_back_unfiltered(p, v, &mut ref_pregs);
+                        let got = rat.feed_back(p, v, &mut pregs);
+                        assert_eq!(got, want, "seed {seed} step {step}: converted");
+                        assert_eq!(ref_state(&pregs), ref_state(&ref_pregs));
+                        for i in 0..NUM_ARCH_REGS {
+                            let a = ArchReg::from_index(i);
+                            assert_eq!(rat.sym(a), ref_rat.sym(a));
+                        }
+                    }
+                }
+                assert_eq!(
+                    rat.base_uses,
+                    rat.recount_base_uses(),
+                    "seed {seed} step {step}: base-use counts"
+                );
+            }
+        }
     }
 
     #[test]

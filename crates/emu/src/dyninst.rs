@@ -45,7 +45,10 @@ impl DynInst {
     /// Folds this record into a running FNV-1a digest of the committed
     /// stream. Two executions retire the same stream iff folding every
     /// record in order produces the same digest (up to hash collision).
-    /// Allocation-free; differential tests call it at retire time.
+    /// Allocation-free. The pipeline folds it at retire time only when a
+    /// differential test asks for the end-of-run state
+    /// (`Machine::run_with_state`); the fold stays byte-at-a-time FNV-1a
+    /// so that emulator-side and pipeline-side digests compare.
     pub fn fold_digest(&self, mut h: u64) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut eat = |v: u64| {

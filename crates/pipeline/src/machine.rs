@@ -15,32 +15,83 @@
 //! the rename stage), then pays the redirect latency. The resulting minimum
 //! penalty matches Table 2's 20 cycles on the baseline and 22 with the
 //! optimizer's two extra stages.
+//!
+//! Every in-flight instruction lives in one window ring, indexed by its
+//! sequence number masked to the ring size. Its oracle record is written
+//! once, when the emulator produces it, and read in place by fetch,
+//! rename, issue, completion and retirement. Because the pipeline never
+//! squashes (fetch stalls on a mispredict instead), the window is one
+//! contiguous sequence range, split into three consecutive parts: the
+//! reorder buffer (oldest), the fetch queue, and the lookahead of at most
+//! one instruction pulled from the emulator but not yet fetched.
+//!
+//! The retired-stream digest that differential tests compare is folded
+//! only when [`Machine::run_with_state`] asks for it; [`Machine::run`]
+//! skips it.
 
 use crate::config::MachineConfig;
 use crate::stats::{PipelineStats, RunReport};
-use contopt::{Optimizer, RenameReq, Renamed, RenamedClass};
+use contopt::{Optimizer, Renamed, RenamedClass, SrcList};
 use contopt_bpred::Predictor;
 use contopt_emu::{ArchSnapshot, DynInst, Emulator, Step};
 use contopt_isa::{ArchReg, ExecClass, Inst, Program, Reg, STACK_TOP};
 use contopt_mem::MemHierarchy;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+/// The front end's view of one in-flight instruction.
 #[derive(Debug, Clone, Copy)]
-struct Fetched {
+struct InFlight {
     d: DynInst,
     mispredicted: bool,
     rename_ready: u64,
 }
 
+/// Reorder-buffer state of a renamed instruction; its oracle record stays
+/// in the [`InFlight`] slot with the same index.
 #[derive(Debug, Clone)]
 struct RobEntry {
-    d: DynInst,
     ren: Renamed,
-    mispredicted: bool,
     completed: bool,
     complete_at: u64,
+}
+
+impl InFlight {
+    /// A placeholder for ring slots that hold no instruction yet.
+    const EMPTY: InFlight = InFlight {
+        d: DynInst {
+            seq: 0,
+            pc: 0,
+            inst: Inst::Nop,
+            result: None,
+            eff_addr: None,
+            store_value: None,
+            taken: false,
+            next_pc: 0,
+        },
+        mispredicted: false,
+        rename_ready: 0,
+    };
+}
+
+impl RobEntry {
+    /// A placeholder for ring slots that hold no renamed instruction yet.
+    const EMPTY: RobEntry = RobEntry {
+        ren: Renamed {
+            seq: 0,
+            class: RenamedClass::Done,
+            srcs: SrcList::new(),
+            dst: None,
+            dst_new: false,
+            early_value: None,
+            resolved_early: false,
+            load_removed: false,
+            addr_known: false,
+        },
+        completed: false,
+        complete_at: 0,
+    };
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -83,26 +134,38 @@ pub struct Machine {
     pred: Predictor,
 
     cycle: u64,
-    lookahead: VecDeque<DynInst>,
     stream_done: bool,
-    insts_pulled: u64,
 
-    fetch_queue: VecDeque<Fetched>,
+    // The in-flight window: two parallel rings indexed by `seq & mask`,
+    // sized at construction to hold the largest possible window. Sequence
+    // numbers split it into consecutive ranges:
+    //   rob_head..fq_head   reorder buffer (renamed, not yet retired)
+    //   fq_head..la_head    fetch queue (fetched, not yet renamed)
+    //   la_head..pulled     lookahead (from the emulator, not yet fetched)
+    insts: Vec<InFlight>,
+    rob: Vec<RobEntry>,
+    mask: u64,
+    rob_head: u64,
+    fq_head: u64,
+    la_head: u64,
+    pulled: u64,
+    /// Fetch-queue capacity: the front end's depth in fetch blocks.
+    fq_capacity: u64,
+
     fetch_resume_at: u64,
     mispredict_outstanding: bool,
 
-    rob: VecDeque<RobEntry>,
     scheds: [Vec<SchedEntry>; 4],
     completions: BinaryHeap<Reverse<(u64, u64)>>,
     ready_at: Vec<u64>,
 
-    // Scratch buffers reused every cycle so the steady-state rename path
+    // Scratch buffer reused every cycle so the steady-state rename path
     // performs no heap allocation.
-    rename_reqs: Vec<RenameReq>,
     renamed_buf: Vec<Renamed>,
 
-    // FNV chain over the retired stream, folded at retire time
-    // (allocation-free) for differential comparison.
+    // FNV chain over the retired stream for differential comparison,
+    // folded at retire time only when `run_with_state` asks for it.
+    fold_stream: bool,
     stream_digest: u64,
 
     stats: PipelineStats,
@@ -124,6 +187,12 @@ impl Machine {
             }
         });
         let ready_at = vec![0u64; cfg.preg_count];
+        let front_total = cfg.front_depth + cfg.optimizer_extra_stages();
+        let fq_capacity = (front_total + 8) * cfg.fetch_width as u64;
+        // The reorder buffer plus a full fetch queue. The lookahead record
+        // fits in the fetch queue's share: fetch pulls it only while the
+        // queue has room, so the two together never exceed `fq_capacity`.
+        let window = (cfg.rob_entries as u64 + fq_capacity).next_power_of_two();
         Machine {
             hier: MemHierarchy::new(cfg.hierarchy),
             pred: Predictor::new(cfg.predictor),
@@ -131,16 +200,20 @@ impl Machine {
             emu,
             opt,
             cycle: 0,
-            lookahead: VecDeque::new(),
             stream_done: false,
-            insts_pulled: 0,
-            fetch_queue: VecDeque::new(),
-            rob: VecDeque::new(),
+            insts: vec![InFlight::EMPTY; window as usize],
+            rob: vec![RobEntry::EMPTY; window as usize],
+            mask: window - 1,
+            rob_head: 0,
+            fq_head: 0,
+            la_head: 0,
+            pulled: 0,
+            fq_capacity,
             scheds: Default::default(),
             completions: BinaryHeap::new(),
             ready_at,
-            rename_reqs: Vec::new(),
             renamed_buf: Vec::new(),
+            fold_stream: false,
             stream_digest: contopt_emu::STREAM_DIGEST_INIT,
             fetch_resume_at: 0,
             mispredict_outstanding: false,
@@ -163,10 +236,15 @@ impl Machine {
 
     /// Like [`run`](Self::run), but also returns the end-of-run
     /// architectural state ([`ArchSnapshot`]): register files, memory
-    /// content digest, and the retired-stream digest folded at retire
-    /// time. Differential tests use this to prove the optimized pipeline
-    /// changes timing, never semantics.
+    /// content digest, and the retired-stream digest. Differential tests
+    /// use this to prove the optimized pipeline changes timing, never
+    /// semantics.
+    ///
+    /// This is the only path that folds the retired-stream digest
+    /// ([`DynInst::fold_digest`], at retire time); it yields the same
+    /// report as [`run`](Self::run).
     pub fn run_with_state(mut self, max_insts: u64) -> (RunReport, ArchSnapshot) {
+        self.fold_stream = true;
         self.run_loop(max_insts);
         let snap = ArchSnapshot::capture(&self.emu, self.stats.retired, self.stream_digest);
         (self.report(), snap)
@@ -195,8 +273,8 @@ impl Machine {
                     "pipeline deadlock at cycle {} (retired {}, rob {}, fq {})",
                     self.cycle,
                     self.stats.retired,
-                    self.rob.len(),
-                    self.fetch_queue.len()
+                    self.fq_head - self.rob_head,
+                    self.la_head - self.fq_head
                 );
             }
         }
@@ -215,36 +293,51 @@ impl Machine {
     }
 
     fn finished(&self) -> bool {
-        self.stream_done
-            && self.lookahead.is_empty()
-            && self.fetch_queue.is_empty()
-            && self.rob.is_empty()
+        // Nothing left to pull, and everything pulled has retired.
+        self.stream_done && self.rob_head == self.pulled
+    }
+
+    /// The window slot of sequence number `seq`.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     // ---- stream --------------------------------------------------------
 
+    /// Pulls the next record from the emulator into the window when the
+    /// lookahead is empty; returns whether an unfetched record is ready.
     #[expect(
         clippy::expect_used,
         reason = "suite programs execute cleanly under the reference emulator"
     )]
-    fn peek_stream(&mut self, max_insts: u64) -> Option<DynInst> {
-        if self.lookahead.is_empty() && !self.stream_done {
-            if self.insts_pulled >= max_insts {
+    fn pull_stream(&mut self, max_insts: u64) -> bool {
+        if self.la_head == self.pulled && !self.stream_done {
+            if self.pulled >= max_insts {
                 self.stream_done = true;
             } else {
                 match self.emu.step().expect("workload executes cleanly") {
                     Step::Inst(d) => {
-                        self.insts_pulled += 1;
+                        debug_assert_eq!(d.seq, self.pulled, "the stream is contiguous");
+                        // The slot about to be written must not hold an
+                        // unretired instruction.
+                        assert!(self.pulled - self.rob_head <= self.mask, "window overflow");
                         if matches!(d.inst, Inst::Halt) {
                             self.stream_done = true;
                         }
-                        self.lookahead.push_back(d);
+                        let slot = self.slot(self.pulled);
+                        self.insts[slot] = InFlight {
+                            d,
+                            mispredicted: false,
+                            rename_ready: 0,
+                        };
+                        self.pulled += 1;
                     }
                     Step::Halted => self.stream_done = true,
                 }
             }
         }
-        self.lookahead.front().copied()
+        self.la_head < self.pulled
     }
 
     // ---- fetch -----------------------------------------------------------
@@ -257,18 +350,19 @@ impl Machine {
         if self.cycle < self.fetch_resume_at {
             return;
         }
-        let front_total = self.cfg.front_depth + self.cfg.optimizer_extra_stages();
-        let capacity = (front_total as usize + 8) * self.cfg.fetch_width;
+        let rename_ready = self.cycle + self.cfg.front_depth + self.cfg.optimizer_extra_stages();
         let mut fetched = 0;
         let mut line: Option<u64> = None;
-        while fetched < self.cfg.fetch_width && self.fetch_queue.len() < capacity {
-            let Some(d) = self.peek_stream(max_insts) else {
+        while fetched < self.cfg.fetch_width && self.la_head - self.fq_head < self.fq_capacity {
+            if !self.pull_stream(max_insts) {
                 break;
-            };
+            }
+            let slot = self.slot(self.la_head);
+            let f = &mut self.insts[slot];
             // Instruction cache: one access per line per fetch cycle.
-            let line_addr = d.pc / self.cfg.hierarchy.l1i.line_bytes;
+            let line_addr = f.d.pc / self.cfg.hierarchy.l1i.line_bytes;
             if line != Some(line_addr) {
-                let lat = self.hier.inst_fetch(d.pc);
+                let lat = self.hier.inst_fetch(f.d.pc);
                 line = Some(line_addr);
                 if lat > self.cfg.hierarchy.l1i_latency {
                     // Miss: the line fills; fetch resumes once it arrives.
@@ -276,43 +370,17 @@ impl Machine {
                     break;
                 }
             }
-            self.lookahead.pop_front();
-            let mispredicted = self.predict(&d);
-            self.fetch_queue.push_back(Fetched {
-                d,
-                mispredicted,
-                rename_ready: self.cycle + front_total,
-            });
+            f.mispredicted = predict(&mut self.pred, &f.d);
+            f.rename_ready = rename_ready;
+            self.la_head += 1;
             fetched += 1;
-            if mispredicted {
+            if f.mispredicted {
                 self.mispredict_outstanding = true;
                 break;
             }
-            if d.redirects() {
+            if f.d.redirects() {
                 break; // taken control flow ends the fetch block
             }
-        }
-    }
-
-    /// Consults/updates the predictor; returns whether the front end
-    /// mispredicted this instruction.
-    fn predict(&mut self, d: &DynInst) -> bool {
-        match d.inst {
-            Inst::Br { target, .. } => !self.pred.update_cond(d.pc, d.taken, target),
-            Inst::Bru { .. } => false, // direct, decoded in the front end
-            Inst::Bsr { .. } => {
-                self.pred.push_return(d.pc.wrapping_add(4));
-                false
-            }
-            Inst::Jmp { rd, ra } => {
-                let is_return = rd.is_zero() && ra == Reg::RA;
-                if is_return {
-                    !self.pred.predict_return(d.next_pc)
-                } else {
-                    !self.pred.update_indirect(d.pc, d.next_pc)
-                }
-            }
-            _ => false,
         }
     }
 
@@ -338,12 +406,8 @@ impl Machine {
         }
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the optimizer renames exactly what was peeked"
-    )]
     fn rename_and_dispatch(&mut self) {
-        let mut rob_free = self.cfg.rob_entries - self.rob.len();
+        let mut rob_free = self.cfg.rob_entries - (self.fq_head - self.rob_head) as usize;
         // Scheduler slots are reserved against the *unoptimized* class; the
         // optimizer occasionally moves an instruction to the int scheduler
         // (strength-reduced multiplies, expression-forwarded loads), so the
@@ -363,11 +427,9 @@ impl Machine {
                 .scheduler_entries
                 .saturating_sub(self.scheds[3].len()),
         ];
-        // Reuse the request/result scratch buffers across cycles (taken and
-        // restored around the loop because `dispatch` needs `&mut self`).
-        let mut reqs = std::mem::take(&mut self.rename_reqs);
-        reqs.clear();
-        for f in self.fetch_queue.iter().take(self.cfg.fetch_width) {
+        let mut n = 0;
+        while n < self.cfg.fetch_width && self.fq_head + (n as u64) < self.la_head {
+            let f = &self.insts[self.slot(self.fq_head + n as u64)];
             if f.rename_ready > self.cycle {
                 break;
             }
@@ -386,26 +448,25 @@ impl Machine {
                 sched_free[s] -= 1;
             }
             rob_free -= 1;
-            reqs.push(RenameReq {
-                d: f.d,
-                mispredicted: f.mispredicted,
-            });
+            n += 1;
         }
-        if reqs.is_empty() {
-            self.rename_reqs = reqs;
+        if n == 0 {
             return;
         }
+        // Rename the records in place, then dispatch the results (the
+        // result scratch buffer is taken and restored around the loop
+        // because `dispatch` needs `&mut self`).
         let mut renamed = std::mem::take(&mut self.renamed_buf);
         renamed.clear();
-        self.opt.rename_bundle_into(self.cycle, &reqs, &mut renamed);
+        let (insts, head, mask) = (&self.insts, self.fq_head, self.mask);
+        let bundle = (0..n).map(|i| {
+            let f = &insts[((head + i as u64) & mask) as usize];
+            (&f.d, f.mispredicted)
+        });
+        self.opt.rename_records(self.cycle, bundle, &mut renamed);
         for ren in renamed.drain(..) {
-            let f = self
-                .fetch_queue
-                .pop_front()
-                .expect("renamed what we peeked");
-            self.dispatch(f, ren);
+            self.dispatch(ren);
         }
-        self.rename_reqs = reqs;
         self.renamed_buf = renamed;
     }
 
@@ -413,14 +474,16 @@ impl Machine {
         clippy::expect_used,
         reason = "renamed-class invariants established at rename time"
     )]
-    fn dispatch(&mut self, f: Fetched, ren: Renamed) {
+    fn dispatch(&mut self, ren: Renamed) {
+        debug_assert_eq!(ren.seq, self.fq_head, "rename keeps fetch order");
+        let slot = self.slot(self.fq_head);
+        self.fq_head += 1;
+        let f = &self.insts[slot];
         if let (Some(dst), true) = (ren.dst, ren.dst_new) {
             self.ready_at[dst.index()] = u64::MAX;
         }
         let mut entry = RobEntry {
-            d: f.d,
             ren,
-            mispredicted: f.mispredicted,
             completed: false,
             complete_at: u64::MAX,
         };
@@ -438,14 +501,14 @@ impl Machine {
                     let v = entry
                         .ren
                         .early_value
-                        .or(entry.d.result)
+                        .or(f.d.result)
                         .expect("early destination has a value");
                     self.ready_at[dst.index()] = self.cycle;
                     self.opt.complete(dst, v, self.cycle);
                     self.opt.release(dst); // producer claim
                 }
                 if f.mispredicted {
-                    debug_assert!(entry.ren.resolved_early || entry.d.inst.is_control());
+                    debug_assert!(entry.ren.resolved_early || f.d.inst.is_control());
                     self.redirect(self.cycle, true);
                 }
             }
@@ -458,7 +521,7 @@ impl Machine {
                 });
             }
         }
-        self.rob.push_back(entry);
+        self.rob[slot] = entry;
     }
 
     fn redirect(&mut self, resolved_at: u64, early: bool) {
@@ -473,15 +536,6 @@ impl Machine {
     }
 
     // ---- issue / execute -------------------------------------------------
-
-    #[expect(
-        clippy::expect_used,
-        reason = "callers index into a non-empty reorder buffer"
-    )]
-    fn rob_index(&self, seq: u64) -> usize {
-        let head = self.rob.front().expect("rob non-empty").ren.seq;
-        (seq - head) as usize
-    }
 
     fn issue(&mut self) {
         let mut fu_left = [
@@ -500,7 +554,7 @@ impl Machine {
                     i += 1;
                     continue;
                 }
-                let idx = self.rob_index(e.seq);
+                let idx = self.slot(e.seq);
                 let (class, addr_known) = {
                     let r = &self.rob[idx].ren;
                     (r.class, r.addr_known)
@@ -536,7 +590,7 @@ impl Machine {
     }
 
     fn srcs_ready(&self, seq: u64) -> bool {
-        let idx = self.rob_index(seq);
+        let idx = self.slot(seq);
         self.rob[idx]
             .ren
             .srcs
@@ -550,10 +604,8 @@ impl Machine {
     )]
     fn execute(&mut self, idx: usize) {
         let now = self.cycle;
-        let (class, addr_known, eff_addr) = {
-            let e = &self.rob[idx];
-            (e.ren.class, e.ren.addr_known, e.d.eff_addr)
-        };
+        let (class, addr_known) = (self.rob[idx].ren.class, self.rob[idx].ren.addr_known);
+        let eff_addr = self.insts[idx].d.eff_addr;
         let exec_lat = match class {
             RenamedClass::SimpleInt => 1,
             RenamedClass::ComplexInt => self.cfg.complex_latency,
@@ -583,19 +635,16 @@ impl Machine {
                 break;
             }
             self.completions.pop();
-            let idx = self.rob_index(seq);
-            let (srcs, dst, dst_new, value, mispredicted, is_control) = {
+            let idx = self.slot(seq);
+            let (srcs, dst, dst_new) = {
                 let e = &mut self.rob[idx];
                 e.completed = true;
-                (
-                    e.ren.srcs, // inline list: a plain copy, no allocation
-                    e.ren.dst,
-                    e.ren.dst_new,
-                    e.d.result,
-                    e.mispredicted,
-                    e.d.inst.is_control(),
-                )
+                // inline list: a plain copy, no allocation
+                (e.ren.srcs, e.ren.dst, e.ren.dst_new)
             };
+            let f = &self.insts[idx];
+            let (value, mispredicted, is_control) =
+                (f.d.result, f.mispredicted, f.d.inst.is_control());
             for &p in &srcs {
                 self.opt.release(p);
             }
@@ -612,26 +661,49 @@ impl Machine {
 
     // ---- retire -----------------------------------------------------------
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the retire loop re-checks the head it pops"
-    )]
+    #[expect(clippy::expect_used, reason = "stores carry effective addresses")]
     fn retire(&mut self) {
         let mut n = 0;
-        while n < self.cfg.retire_width {
-            let Some(front) = self.rob.front() else { break };
-            if !front.completed || front.complete_at > self.cycle {
+        while n < self.cfg.retire_width && self.rob_head < self.fq_head {
+            let slot = self.slot(self.rob_head);
+            let e = &self.rob[slot];
+            if !e.completed || e.complete_at > self.cycle {
                 break;
             }
-            let e = self.rob.pop_front().expect("checked front");
-            if e.d.inst.is_store() {
-                let addr = e.d.eff_addr.expect("store has an address");
+            let d = &self.insts[slot].d;
+            if d.inst.is_store() {
+                let addr = d.eff_addr.expect("store has an address");
                 self.hier.data_access(addr, true);
             }
-            self.stream_digest = e.d.fold_digest(self.stream_digest);
+            if self.fold_stream {
+                self.stream_digest = d.fold_digest(self.stream_digest);
+            }
+            self.rob_head += 1;
             self.stats.retired += 1;
             n += 1;
         }
+    }
+}
+
+/// Consults/updates the predictor; returns whether the front end
+/// mispredicted this instruction.
+fn predict(pred: &mut Predictor, d: &DynInst) -> bool {
+    match d.inst {
+        Inst::Br { target, .. } => !pred.update_cond(d.pc, d.taken, target),
+        Inst::Bru { .. } => false, // direct, decoded in the front end
+        Inst::Bsr { .. } => {
+            pred.push_return(d.pc.wrapping_add(4));
+            false
+        }
+        Inst::Jmp { rd, ra } => {
+            let is_return = rd.is_zero() && ra == Reg::RA;
+            if is_return {
+                !pred.predict_return(d.next_pc)
+            } else {
+                !pred.update_indirect(d.pc, d.next_pc)
+            }
+        }
+        _ => false,
     }
 }
 
@@ -775,6 +847,28 @@ mod tests {
             "loads_removed = {}",
             rep.optimizer.loads_removed
         );
+    }
+
+    #[test]
+    fn window_ring_holds_skewed_geometries() {
+        // The ring is sized to the reorder buffer plus the fetch queue;
+        // a tiny ROB behind a wide front end, or a deep narrow one, must
+        // still retire the whole stream without overflowing it.
+        for (rob_entries, fetch_width, front_depth) in [(1, 8, 0), (3, 1, 30), (160, 8, 14)] {
+            for base in [
+                MachineConfig::default_paper(),
+                MachineConfig::default_with_optimizer(),
+            ] {
+                let cfg = MachineConfig {
+                    rob_entries,
+                    fetch_width,
+                    front_depth,
+                    ..base
+                };
+                let rep = simulate(cfg, sum_loop(100), 1_000_000);
+                assert_eq!(rep.pipeline.retired, 3 + 100 * 5 + 1);
+            }
+        }
     }
 
     #[test]
