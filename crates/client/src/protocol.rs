@@ -861,6 +861,19 @@ pub fn cell_fingerprint_for(
     insts: u64,
     program: Option<&Program>,
 ) -> String {
+    let text = program.map(asm_text::emit);
+    cell_fingerprint_with_text(machine, workload, insts, text.as_deref())
+}
+
+/// [`cell_fingerprint_for`] given the program's canonical
+/// [`asm_text::emit`] text instead of the program, for callers that
+/// already hold it (the server keeps it with every shipped program).
+pub fn cell_fingerprint_with_text(
+    machine: &MachineConfig,
+    workload: &str,
+    insts: u64,
+    program_text: Option<&str>,
+) -> String {
     let canonical = machine_to_json(machine).to_string();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -874,9 +887,9 @@ pub fn cell_fingerprint_for(
     eat(workload.as_bytes());
     eat(&[0]);
     eat(&insts.to_be_bytes());
-    if let Some(program) = program {
+    if let Some(text) = program_text {
         eat(&[0]);
-        eat(asm_text::emit(program).as_bytes());
+        eat(text.as_bytes());
     }
     format!("{h:016x}")
 }
@@ -1203,6 +1216,33 @@ mod tests {
             plain,
             cell_fingerprint_for(&base, "k", 1000, None),
             "None is byte-identical to the pre-federation digest"
+        );
+    }
+
+    #[test]
+    fn fingerprints_from_text_match_fingerprints_from_programs() {
+        let machines = [
+            MachineConfig::default_paper(),
+            MachineConfig::default_with_optimizer(),
+        ];
+        for w in contopt_sim::workloads::suite() {
+            // The text a server keeps: the kernel shipped as inline text,
+            // re-assembled at the protocol boundary, then re-emitted.
+            let shipped = asm_text::parse(&asm_text::emit(&w.program)).unwrap();
+            let text = asm_text::emit(&shipped);
+            for machine in &machines {
+                assert_eq!(
+                    cell_fingerprint_for(machine, w.name, 40_000, Some(&w.program)),
+                    cell_fingerprint_with_text(machine, w.name, 40_000, Some(&text)),
+                    "{}",
+                    w.name
+                );
+            }
+        }
+        let base = MachineConfig::default_paper();
+        assert_eq!(
+            cell_fingerprint_for(&base, "mcf", 1000, None),
+            cell_fingerprint_with_text(&base, "mcf", 1000, None)
         );
     }
 

@@ -25,22 +25,33 @@ impl CacheConfig {
     /// Panics if the line size is not a power of two or the capacity is not
     /// an integer number of sets.
     pub fn new(size_bytes: u64, ways: u64, line_bytes: u64) -> CacheConfig {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(ways >= 1, "need at least one way");
-        let lines = size_bytes / line_bytes;
-        assert_eq!(lines % ways, 0, "capacity must divide evenly into sets");
-        assert!(
-            (lines / ways).is_power_of_two(),
-            "number of sets must be a power of two"
-        );
-        CacheConfig {
+        let cfg = CacheConfig {
             size_bytes,
             ways,
             line_bytes,
-        }
+        };
+        cfg.assert_geometry();
+        cfg
+    }
+
+    /// Asserts the geometry [`new`](Self::new) promises: power-of-two
+    /// lines and sets, and a capacity that divides evenly into sets.
+    fn assert_geometry(&self) {
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        assert!(self.ways >= 1, "need at least one way");
+        let lines = self.size_bytes / self.line_bytes;
+        assert_eq!(
+            lines % self.ways,
+            0,
+            "capacity must divide evenly into sets"
+        );
+        assert!(
+            (lines / self.ways).is_power_of_two(),
+            "number of sets must be a power of two"
+        );
     }
 
     /// Number of sets.
@@ -113,17 +124,32 @@ pub struct Cache {
     lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
+    // Indexing without division: an address's line number is
+    // `addr >> line_shift`, its set `line & set_mask`, its tag
+    // `line >> set_shift`.
+    line_shift: u32,
+    set_mask: u64,
+    set_shift: u32,
 }
 
 impl Cache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheConfig::new`] would refuse (its
+    /// fields are public, so a config can be built without it).
     pub fn new(cfg: CacheConfig) -> Cache {
-        let n = (cfg.sets() * cfg.ways) as usize;
+        cfg.assert_geometry();
+        let sets = cfg.sets();
         Cache {
             cfg,
-            lines: vec![Line::default(); n],
+            lines: vec![Line::default(); (sets * cfg.ways) as usize],
             clock: 0,
             stats: CacheStats::default(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -137,12 +163,12 @@ impl Cache {
         self.stats
     }
 
+    /// The first line slot of `addr`'s set, and its tag.
     #[inline]
     fn set_range(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes;
-        let set = (line % self.cfg.sets()) as usize;
-        let tag = line / self.cfg.sets();
-        (set * self.cfg.ways as usize, tag)
+        let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        (set * self.cfg.ways as usize, line >> self.set_shift)
     }
 
     /// Accesses `addr`; allocates on miss; returns `true` on hit.
@@ -230,6 +256,44 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_line_size() {
         let _ = CacheConfig::new(128, 2, 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "number of sets must be a power of two")]
+    fn hand_built_geometry_is_checked_too() {
+        // 12 sets of one 16-byte line: shift-and-mask indexing would
+        // silently alias sets, so `Cache::new` refuses it like
+        // `CacheConfig::new` does.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 192,
+            ways: 1,
+            line_bytes: 16,
+        });
+    }
+
+    #[test]
+    fn shift_indexing_matches_division() {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for cfg in [
+            CacheConfig::new(128, 2, 16),
+            CacheConfig::new(64 * 1024, 4, 64),
+            CacheConfig::new(32 * 1024, 2, 32),
+            CacheConfig::new(1024 * 1024, 2, 128),
+            CacheConfig::new(256, 4, 64),
+        ] {
+            let c = Cache::new(cfg);
+            for _ in 0..1000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let line = x / cfg.line_bytes;
+                let want = (
+                    (line % cfg.sets()) as usize * cfg.ways as usize,
+                    line / cfg.sets(),
+                );
+                assert_eq!(c.set_range(x), want, "{cfg} at {x:#x}");
+            }
+        }
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub struct Machine {
     pulled: u64,
     /// Fetch-queue capacity: the front end's depth in fetch blocks.
     fq_capacity: u64,
+    /// log2 of the I-cache line size, so fetch finds a PC's line
+    /// without dividing.
+    i_line_shift: u32,
 
     fetch_resume_at: u64,
     mispredict_outstanding: bool,
@@ -193,8 +196,12 @@ impl Machine {
         // fits in the fetch queue's share: fetch pulls it only while the
         // queue has room, so the two together never exceed `fq_capacity`.
         let window = (cfg.rob_entries as u64 + fq_capacity).next_power_of_two();
+        // `MemHierarchy::new` has asserted that the line size is a power
+        // of two.
+        let hier = MemHierarchy::new(cfg.hierarchy);
         Machine {
-            hier: MemHierarchy::new(cfg.hierarchy),
+            hier,
+            i_line_shift: cfg.hierarchy.l1i.line_bytes.trailing_zeros(),
             pred: Predictor::new(cfg.predictor),
             cfg,
             emu,
@@ -360,7 +367,7 @@ impl Machine {
             let slot = self.slot(self.la_head);
             let f = &mut self.insts[slot];
             // Instruction cache: one access per line per fetch cycle.
-            let line_addr = f.d.pc / self.cfg.hierarchy.l1i.line_bytes;
+            let line_addr = f.d.pc >> self.i_line_shift;
             if line != Some(line_addr) {
                 let lat = self.hier.inst_fetch(f.d.pc);
                 line = Some(line_addr);

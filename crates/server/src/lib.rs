@@ -53,7 +53,8 @@
 //!
 //! Everything is `std`: `TcpListener` + one thread per connection,
 //! `Mutex`/`Condvar` for the engine, scoped threads for the per-request
-//! worker pool.
+//! worker pool. Cache hits are answered on the connection's own thread;
+//! worker and forwarder threads start only for cells that need work.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -99,13 +100,14 @@ mod fault_stub {
 use fault_stub::{ConnFaults, FrameFate};
 
 use contopt_client::protocol::{
-    cell_fingerprint_for, read_frame, write_frame, CellError, CellReply, CellResult,
+    cell_fingerprint_with_text, read_frame, write_frame, CellError, CellReply, CellResult,
     DownstreamStatus, Message, PlanCell, ProtocolError, ServerStatus, SweepStatus, WireError,
     PROTOCOL_VERSION,
 };
 use contopt_sim::isa::{asm_text, Program};
 use contopt_sim::{MachineConfig, ProgramSource, ProgramSpec, SimSession, VerifyPolicy};
 use federation::{DownstreamLink, Federation, FederationConfig};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -161,7 +163,7 @@ pub fn default_jobs() -> usize {
 /// The full behavioural identity of a simulation cell. The optimizer
 /// block is normalized, so configurations that cannot differ in
 /// simulation share a key — the in-memory form of the wire-visible
-/// [`cell_fingerprint_for`]. Unlike the experiments `Lab` (one budget
+/// [`cell_fingerprint_with_text`]. Unlike the experiments `Lab` (one budget
 /// per lab), the budget is part of the key: submissions choose their
 /// own. A cell bound to a shipped program additionally carries the
 /// program's canonical text — the full encoding, not a digest, so a
@@ -275,6 +277,17 @@ struct EngineState {
     in_flight: HashSet<CellKey>,
     tick: u64,
     total_simulations: u64,
+}
+
+impl EngineState {
+    /// The cached report for `key`, if any; a hit becomes the most
+    /// recently used entry.
+    fn cached(&mut self, key: &CellKey) -> Option<Arc<String>> {
+        let entry = self.cache.get_mut(key)?;
+        self.tick += 1;
+        entry.tick = self.tick;
+        Some(Arc::clone(&entry.report))
+    }
 }
 
 /// The shared sweep engine: result cache, in-flight claims, and lifetime
@@ -459,8 +472,11 @@ impl SweepEngine {
 
     /// Executes one sweep: dedupes the cells, places them across the
     /// local worker pool and any healthy downstream links
-    /// (least-outstanding-cells, [`scheduler::place`]), and assembles
-    /// results in declaration order. Fails fast — before any simulation —
+    /// (least-outstanding-cells, [`scheduler::place`]), answers every
+    /// cache hit on the calling thread, and assembles results in
+    /// declaration order. Worker and forwarder threads start only for
+    /// the cells the cache could not answer, so a request whose cells
+    /// are all cached starts none. Fails fast — before any simulation —
     /// if a cell names an unknown workload or an invalid configuration.
     /// A cell that *fails during simulation* (panic) degrades to a typed
     /// [`CellReply::Failed`] while its siblings complete normally; a
@@ -475,14 +491,19 @@ impl SweepEngine {
         // Dedup: map each requested cell to its unique-cell index.
         let mut uniq_index: HashMap<CellKey, usize> = HashMap::new();
         let mut uniq: Vec<&SweepCell> = Vec::new();
+        let mut keys: Vec<CellKey> = Vec::new();
         let cell_to_uniq: Vec<usize> = cells
             .iter()
             .map(|cell| {
                 let key = cell_key(&cell.machine, &cell.workload, insts, cell.program.as_ref());
-                *uniq_index.entry(key).or_insert_with(|| {
-                    uniq.push(cell);
-                    uniq.len() - 1
-                })
+                match uniq_index.entry(key) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        keys.push(e.key().clone());
+                        uniq.push(cell);
+                        *e.insert(uniq.len() - 1)
+                    }
+                }
             })
             .collect();
 
@@ -490,24 +511,17 @@ impl SweepEngine {
         // request up front instead of failing mid-sweep.
         let sessions: Vec<(CellKey, SimSession)> = uniq
             .iter()
-            .map(|cell| {
+            .zip(keys)
+            .map(|(cell, key)| {
                 let builder = SimSession::builder().machine(cell.machine).insts(insts);
                 let builder = match &cell.program {
                     Some(cp) => builder.program(Arc::clone(&cp.program)),
                     None => builder.workload(cell.workload.clone()),
                 };
-                builder
-                    .build()
-                    .map(|s| {
-                        (
-                            cell_key(&cell.machine, &cell.workload, insts, cell.program.as_ref()),
-                            s,
-                        )
-                    })
-                    .map_err(|e| WireError {
-                        code: "bad-request".to_string(),
-                        message: format!("cell {:?}/{}: {e}", cell.label, cell.workload),
-                    })
+                builder.build().map(|s| (key, s)).map_err(|e| WireError {
+                    code: "bad-request".to_string(),
+                    message: format!("cell {:?}/{}: {e}", cell.label, cell.workload),
+                })
             })
             .collect::<Result<_, _>>()?;
 
@@ -523,12 +537,27 @@ impl SweepEngine {
             loads.extend(links.iter().map(|l| l.outstanding()));
             scheduler::place(sessions.len(), &loads)
         };
+
+        // Answer every cache hit here, under one lock, wherever it was
+        // placed: a frontier cache hit never forwards, and only the cells
+        // still unresolved reach a worker or a forwarder.
+        let mut obtained: Vec<Option<CellOutcome>> = {
+            let mut state = self.lock();
+            sessions
+                .iter()
+                .map(|(key, _)| {
+                    state
+                        .cached(key)
+                        .map(|report| CellOutcome::Ready(report, Obtained::CacheHit))
+                })
+                .collect()
+        };
         let local_cells: Vec<usize> = (0..sessions.len())
-            .filter(|&i| assignment[i] == 0)
+            .filter(|&i| assignment[i] == 0 && obtained[i].is_none())
             .collect();
         let mut per_link: Vec<Vec<usize>> = vec![Vec::new(); links.len()];
         for (i, &backend) in assignment.iter().enumerate() {
-            if backend > 0 {
+            if backend > 0 && obtained[i].is_none() {
                 per_link[backend - 1].push(i);
             }
         }
@@ -536,9 +565,8 @@ impl SweepEngine {
         let jobs = jobs_hint
             .map(|h| h.clamp(1, self.jobs as u64) as usize)
             .unwrap_or(self.jobs)
-            .min(local_cells.len().max(1));
+            .min(local_cells.len());
         let next = AtomicUsize::new(0);
-        let mut obtained: Vec<Option<CellOutcome>> = (0..sessions.len()).map(|_| None).collect();
         let sessions_ref = &sessions;
         let uniq_ref = &uniq;
         let local_ref = &local_cells;
@@ -617,16 +645,24 @@ impl SweepEngine {
             joined += ds.joined;
         }
 
+        // Equal keys fingerprint equally, so one fingerprint per unique
+        // cell serves all its duplicates.
+        let fingerprints: Vec<String> = uniq
+            .iter()
+            .map(|cell| {
+                cell_fingerprint_with_text(
+                    &cell.machine,
+                    &cell.workload,
+                    insts,
+                    cell.program.as_ref().map(|cp| &*cp.text),
+                )
+            })
+            .collect();
         let results: Vec<CellReply> = cells
             .iter()
             .zip(&cell_to_uniq)
             .map(|(cell, &u)| {
-                let fingerprint = cell_fingerprint_for(
-                    &cell.machine,
-                    &cell.workload,
-                    insts,
-                    cell.program.as_ref().map(|cp| cp.program.as_ref()),
-                );
+                let fingerprint = fingerprints[u].clone();
                 match &obtained[u] {
                     Some(CellOutcome::Ready(report, _)) => CellReply::Report(CellResult {
                         label: cell.label.clone(),
@@ -822,13 +858,7 @@ impl SweepEngine {
         let mut waited = false;
         let mut state = self.lock();
         loop {
-            // Split the borrow so the tick bump and the cache lookup can
-            // coexist without a second lookup.
-            let s = &mut *state;
-            if let Some(entry) = s.cache.get_mut(key) {
-                s.tick += 1;
-                entry.tick = s.tick;
-                let report = Arc::clone(&entry.report);
+            if let Some(report) = state.cached(key) {
                 let how = if waited {
                     Obtained::Joined
                 } else {
@@ -836,12 +866,12 @@ impl SweepEngine {
                 };
                 return CellOutcome::Ready(report, how);
             }
-            if s.in_flight.contains(key) {
+            if state.in_flight.contains(key) {
                 waited = true;
                 state = self.cond.wait(state).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
-            s.in_flight.insert(key.clone());
+            state.in_flight.insert(key.clone());
             break;
         }
         drop(state);
@@ -857,16 +887,13 @@ impl SweepEngine {
     /// [`release_claim`](Self::release_claim).
     fn try_obtain(&self, key: &CellKey) -> TryObtain {
         let mut state = self.lock();
-        let s = &mut *state;
-        if let Some(entry) = s.cache.get_mut(key) {
-            s.tick += 1;
-            entry.tick = s.tick;
-            return TryObtain::Hit(Arc::clone(&entry.report));
+        if let Some(report) = state.cached(key) {
+            return TryObtain::Hit(report);
         }
-        if s.in_flight.contains(key) {
+        if state.in_flight.contains(key) {
             return TryObtain::Busy;
         }
-        s.in_flight.insert(key.clone());
+        state.in_flight.insert(key.clone());
         TryObtain::Claimed
     }
 

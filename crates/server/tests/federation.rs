@@ -7,7 +7,8 @@
 //! * no cell simulates twice anywhere in the topology, and the
 //!   accounting invariant holds at every tier,
 //! * a frontier cache hit never forwards; a downstream cache hit counts
-//!   as a frontier `cache_hits`,
+//!   as a frontier `cache_hits`; a request mixing cached and new cells
+//!   forwards and simulates only the new ones,
 //! * `ping` through the frontier reports the downstream topology.
 //!
 //! Link-failure behaviour (blackholed downstreams, mid-stream kills)
@@ -17,12 +18,12 @@
 // unwrap/expect protects the service itself, not its test harness.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_client::protocol::{CellReply, CellResult, SweepStatus};
+use contopt_client::protocol::{CellReply, CellResult, PlanCell, SweepStatus};
 use contopt_client::Client;
 use contopt_experiments::{check_cell, TolerancePolicy};
 use contopt_server::federation::FederationConfig;
 use contopt_server::{Server, ServerConfig, ServerHandle};
-use contopt_sim::Scenario;
+use contopt_sim::{MachineConfig, Scenario};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -269,4 +270,95 @@ fn programs_forward_with_their_cells() {
     assert_eq!(s2.forwarded, 0);
     assert_accounted(&s2);
     let _ = reports(again.fetch_reports().expect("fetch again"));
+}
+
+#[test]
+fn a_mixed_request_forwards_and_simulates_only_its_new_cells() {
+    let ds = spawn_standalone(1);
+    let frontier = spawn_frontier(1, vec![ds.addr().to_string()]);
+    let client = Client::new(frontier.addr().to_string());
+    let cell = |label: &str, machine: MachineConfig, workload: &str| PlanCell {
+        label: label.to_string(),
+        machine,
+        workload: workload.to_string(),
+    };
+    let (paper, full) = (
+        MachineConfig::default_paper(),
+        MachineConfig::default_with_optimizer(),
+    );
+    let insts = 20_000;
+    let warm = vec![cell("a", paper, "twf"), cell("b", full, "untst")];
+    let cold = [cell("c", paper, "mcf"), cell("d", full, "gcc")];
+
+    let mut first = client
+        .submit_plan(insts, warm.clone(), None)
+        .expect("warm-up");
+    let s1 = first.status();
+    assert_accounted(&s1);
+    assert_eq!(s1.errors, 0);
+    let first_reports = reports(first.fetch_reports().expect("fetch warm-up"));
+
+    let link_forwarded = |c: &Client| -> u64 {
+        c.ping()
+            .expect("ping frontier")
+            .downstreams
+            .iter()
+            .map(|d| d.forwarded)
+            .sum()
+    };
+    let sims_before = frontier.engine().total_simulations() + ds.engine().total_simulations();
+    let ds_before = ds.engine().total_simulations();
+    let forwarded_before = link_forwarded(&client);
+
+    // Cached and new cells interleaved: on an idle frontier placement
+    // alternates local, link, local, link, so both new cells land on the
+    // link while both cached cells are placed locally.
+    let mixed = vec![
+        warm[0].clone(),
+        cold[0].clone(),
+        warm[1].clone(),
+        cold[1].clone(),
+    ];
+    let mut second = client
+        .submit_plan(insts, mixed.clone(), None)
+        .expect("mixed");
+    let s2 = second.status();
+    assert_accounted(&s2);
+    assert_eq!(s2.unique, 4);
+    assert_eq!(s2.errors, 0);
+    assert_eq!(s2.cache_hits, 2, "the cached cells are cache hits: {s2:?}");
+    assert_eq!(s2.simulated, 2, "only the new cells simulate: {s2:?}");
+    assert_eq!(s2.joined, 0);
+    assert_eq!(
+        s2.forwarded, 2,
+        "both new cells were placed on the link: {s2:?}"
+    );
+    let sims_after = frontier.engine().total_simulations() + ds.engine().total_simulations();
+    assert_eq!(sims_after - sims_before, 2, "one simulation per new cell");
+    assert_eq!(ds.engine().total_simulations() - ds_before, s2.forwarded);
+    assert_eq!(link_forwarded(&client) - forwarded_before, s2.forwarded);
+    let second_reports = reports(second.fetch_reports().expect("fetch mixed"));
+    for (old, new) in first_reports
+        .iter()
+        .zip([&second_reports[0], &second_reports[2]])
+    {
+        assert_eq!(old.fingerprint, new.fingerprint);
+        assert_eq!(old.report, new.report, "a cached reply is the first reply");
+    }
+
+    // The whole plan again: every cell is now a frontier cache hit.
+    let mut third = client.submit_plan(insts, mixed, None).expect("resubmit");
+    let s3 = third.status();
+    assert_accounted(&s3);
+    assert_eq!(
+        (s3.simulated, s3.forwarded, s3.joined, s3.cache_hits),
+        (0, 0, 0, 4),
+        "{s3:?}"
+    );
+    let third_reports = reports(third.fetch_reports().expect("fetch resubmit"));
+    for (a, b) in second_reports.iter().zip(&third_reports) {
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.report, b.report);
+    }
+    assert_eq!(link_forwarded(&client) - forwarded_before, s2.forwarded);
 }

@@ -25,6 +25,7 @@
 //! checked-in conformance [`Scenario`] via [`conformance_scenario`].
 
 use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, VerifyPolicy};
+use crate::JsonValue;
 use contopt_emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_isa::{analysis, asm_text, f, r, Asm, Program, DATA_BASE};
 use contopt_pipeline::{Machine, MachineConfig};
@@ -42,10 +43,10 @@ const ARENA: u64 = 4096;
 // ---- PRNG ----------------------------------------------------------------
 
 /// splitmix64 — tiny, seedable, and good enough to decorrelate ops.
-struct SplitMix64(u64);
+pub(crate) struct SplitMix64(pub(crate) u64);
 
 impl SplitMix64 {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -54,7 +55,7 @@ impl SplitMix64 {
     }
 
     /// Uniform-ish value in `0..n` (`n > 0`).
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 }
@@ -646,8 +647,10 @@ fn mutate(rng: &mut SplitMix64, base: &[u8], corpus: &[(ParserKind, String)]) ->
 
 /// Runs a `count`-case mutation campaign over the scenario-JSON and
 /// assembler-text parsers. Every case must come back as `Ok` or as a
-/// typed error whose `Display` renders — never a panic. Returns the
-/// first panicking input, base64-free and truncated for the report.
+/// typed error whose `Display` renders — never a panic — and every JSON
+/// case that parses as a [`JsonValue`] must re-parse to an equal value
+/// from both its compact and its pretty rendering. Returns the first
+/// failing input, base64-free and truncated for the report.
 pub fn fuzz_parsers(count: u64, seed0: u64) -> Result<(), String> {
     let corpus = parser_corpus();
     let mut rng = SplitMix64(seed0 ^ 0x7061_7273_6572_7321); // "parsers!"
@@ -657,26 +660,52 @@ pub fn fuzz_parsers(count: u64, seed0: u64) -> Result<(), String> {
         let text = String::from_utf8_lossy(&mutated).into_owned();
         let outcome = catch_unwind(AssertUnwindSafe(|| match kind {
             // Errors must be typed and renderable; values are discarded.
-            ParserKind::Json => match Scenario::parse(&text) {
-                Ok(_) => {}
-                Err(e) => {
+            ParserKind::Json => {
+                if let Err(e) = Scenario::parse(&text) {
                     let _ = e.to_string();
                 }
-            },
-            ParserKind::Asm => match asm_text::parse_and_verify(&text) {
-                Ok((_, report)) => {
-                    let _ = report.to_json();
+                json_round_trip(&text)
+            }
+            ParserKind::Asm => {
+                match asm_text::parse_and_verify(&text) {
+                    Ok((_, report)) => {
+                        let _ = report.to_json();
+                    }
+                    Err(e) => {
+                        let _ = e.to_string();
+                    }
                 }
-                Err(e) => {
-                    let _ = e.to_string();
-                }
-            },
+                Ok(())
+            }
         }));
-        if outcome.is_err() {
-            let snippet: String = text.chars().take(200).collect();
-            return Err(format!(
-                "parser-fuzz case {case} ({kind:?}) panicked on input starting: {snippet:?}"
-            ));
+        let failure = match outcome {
+            Ok(Ok(())) => continue,
+            Ok(Err(what)) => what,
+            Err(_) => "panicked".to_string(),
+        };
+        let snippet: String = text.chars().take(200).collect();
+        return Err(format!(
+            "parser-fuzz case {case} ({kind:?}) {failure} on input starting: {snippet:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// Checks that `text`, if it parses as a [`JsonValue`] at all, re-parses
+/// to an equal value from both its compact and its pretty rendering.
+fn json_round_trip(text: &str) -> Result<(), String> {
+    let Ok(value) = JsonValue::parse(text) else {
+        return Ok(());
+    };
+    for (form, rendered) in [("compact", value.to_string()), ("pretty", value.pretty())] {
+        match JsonValue::parse(&rendered) {
+            Ok(back) if back == value => {}
+            Ok(_) => {
+                return Err(format!(
+                    "re-parsed its {form} rendering to a different value"
+                ))
+            }
+            Err(e) => return Err(format!("could not re-parse its {form} rendering ({e})")),
         }
     }
     Ok(())

@@ -350,29 +350,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal, copying each run of plain characters
+    /// (up to the next [`ends_run`] byte) at once.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.src[self.pos..];
-            let mut chars = rest.char_indices();
-            let Some((_, c)) = chars.next() else {
-                return Err(self.err(JsonErrorKind::UnexpectedEnd));
-            };
-            match c {
-                '"' => {
+            let bytes = &self.src.as_bytes()[self.pos..];
+            let run = bytes
+                .iter()
+                .position(|&b| ends_run(b))
+                .unwrap_or(bytes.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.peek() {
+                None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                '\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                c if (c as u32) < 0x20 => return Err(self.err(JsonErrorKind::ControlChar)),
-                c => {
-                    self.pos += c.len_utf8();
-                    out.push(c);
-                }
+                Some(_) => return Err(self.err(JsonErrorKind::ControlChar)),
             }
         }
     }
@@ -504,23 +505,37 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// A JSON-escaped string, quoted.
+/// Whether `b` ends a run of plain string bytes: a quote, a backslash
+/// or a control byte. All are ASCII, so a cut before or after one falls
+/// on a character boundary.
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// A JSON-escaped string, quoted. Runs that need no escape are copied
+/// whole.
 struct Escaped<'a>(&'a str);
 
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        let bytes = s.as_bytes();
         f.write_str("\"")?;
-        for c in self.0.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => write!(f, "{c}")?,
+        let mut run = 0;
+        while let Some(n) = bytes[run..].iter().position(|&b| ends_run(b)) {
+            let at = run + n;
+            f.write_str(&s[run..at])?;
+            match bytes[at] {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                b => write!(f, "\\u{b:04x}")?,
             }
+            run = at + 1;
         }
+        f.write_str(&s[run..])?;
         f.write_str("\"")
     }
 }
@@ -622,6 +637,7 @@ impl<T: ToJson> ToJson for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::SplitMix64;
 
     #[test]
     fn escaping_and_nesting() {
@@ -768,6 +784,159 @@ mod tests {
             JsonValue::parse(&deep).unwrap_err().kind,
             JsonErrorKind::TooDeep
         );
+    }
+
+    /// The per-character escaper [`Escaped`] replaced, kept as the
+    /// oracle its output must match byte for byte.
+    struct EscapedByChar<'a>(&'a str);
+
+    impl fmt::Display for EscapedByChar<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+    }
+
+    impl Parser<'_> {
+        /// The per-character string parser [`Parser::string`] replaced,
+        /// kept as the oracle for its values, errors and end positions.
+        fn string_by_char(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                let Some(c) = self.src[self.pos..].chars().next() else {
+                    return Err(self.err(JsonErrorKind::UnexpectedEnd));
+                };
+                match c {
+                    '"' => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    '\\' => {
+                        self.pos += 1;
+                        out.push(self.escape()?);
+                    }
+                    c if (c as u32) < 0x20 => return Err(self.err(JsonErrorKind::ControlChar)),
+                    c => {
+                        self.pos += c.len_utf8();
+                        out.push(c);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random string weighted toward what the codec must get right:
+    /// quotes, backslashes, every byte below 0x20, DEL and multi-byte
+    /// UTF-8 between runs of printable ASCII.
+    fn random_text(rng: &mut SplitMix64) -> String {
+        let len = rng.below(48);
+        (0..len)
+            .map(|_| {
+                let r = rng.next();
+                let pick = r >> 8;
+                match r % 8 {
+                    0 => '"',
+                    1 => '\\',
+                    2 => char::from((pick % 0x20) as u8),
+                    3 => '\u{7f}',
+                    4 => ['é', 'λ', '€', '\u{2028}', '\u{1d11e}'][(pick % 5) as usize],
+                    _ => char::from(b' ' + (pick % 95) as u8),
+                }
+            })
+            .collect()
+    }
+
+    /// Runs one string parser over `src`: its result and where it stopped.
+    fn parse_string(src: &str, by_char: bool) -> (Result<String, JsonError>, usize) {
+        let mut p = Parser { src, pos: 0 };
+        let r = if by_char {
+            p.string_by_char()
+        } else {
+            p.string()
+        };
+        (r, p.pos)
+    }
+
+    #[test]
+    fn run_codec_matches_the_per_character_reference() {
+        let mut rng = SplitMix64(0x6a73_6f6e);
+        for case in 0..3000 {
+            let s = random_text(&mut rng);
+            let escaped = Escaped(&s).to_string();
+            assert_eq!(escaped, EscapedByChar(&s).to_string(), "case {case}: {s:?}");
+            assert_eq!(
+                JsonValue::parse(&escaped),
+                Ok(JsonValue::Str(s.clone())),
+                "case {case}"
+            );
+
+            // Malformed literals: the run parser must fail exactly where,
+            // and how, the per-character parser did.
+            let body = &escaped[..escaped.len() - 1];
+            let mut cut = rng.below(escaped.len() as u64) as usize;
+            while !escaped.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let ctrl = char::from(rng.below(0x20) as u8);
+            let malformed = [
+                (escaped[..cut].to_string(), None),
+                (
+                    body.to_string(),
+                    Some((JsonErrorKind::UnexpectedEnd, body.len())),
+                ),
+                (
+                    format!("{body}{ctrl}\""),
+                    Some((JsonErrorKind::ControlChar, body.len())),
+                ),
+                (
+                    format!("{}{ctrl}{}", &escaped[..cut], &escaped[cut..]),
+                    None,
+                ),
+                (
+                    format!("{body}\\q\""),
+                    Some((JsonErrorKind::InvalidEscape, body.len() + 1)),
+                ),
+                (
+                    format!("{body}\\ud834\""),
+                    Some((JsonErrorKind::InvalidEscape, body.len() + 6)),
+                ),
+                (
+                    format!("{body}\\udc00\""),
+                    Some((JsonErrorKind::InvalidEscape, body.len() + 6)),
+                ),
+                (
+                    format!("{body}\\ud834\\u0041\""),
+                    Some((JsonErrorKind::InvalidEscape, body.len() + 12)),
+                ),
+                (
+                    format!("{body}\\u12"),
+                    Some((JsonErrorKind::UnexpectedEnd, body.len() + 2)),
+                ),
+            ];
+            for (text, expect) in malformed {
+                let runs = parse_string(&text, false);
+                assert_eq!(runs, parse_string(&text, true), "case {case}: {text:?}");
+                if let Some((kind, offset)) = expect {
+                    assert_eq!(
+                        runs.0,
+                        Err(JsonError { offset, kind }),
+                        "case {case}: {text:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
